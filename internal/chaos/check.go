@@ -58,14 +58,14 @@ func appTraffic(e trace.Event) bool {
 // never durably committed. It wraps the scenario's FaultStorage (if any), so
 // it observes exactly what the engine observes.
 type durabilityTracker struct {
-	inner checkpoint.WaveStorage
+	inner checkpoint.Storage
 
 	mu         sync.Mutex
 	durable    map[int]map[int]bool // rank -> committed iterations
 	violations []string
 }
 
-func newDurabilityTracker(inner checkpoint.WaveStorage) *durabilityTracker {
+func newDurabilityTracker(inner checkpoint.Storage) *durabilityTracker {
 	return &durabilityTracker{inner: inner, durable: make(map[int]map[int]bool)}
 }
 
@@ -99,11 +99,7 @@ func (t *durabilityTracker) StageImage(rank int, image *buf.Buffer) (func() erro
 }
 
 func (t *durabilityTracker) Save(cp *checkpoint.Checkpoint) error {
-	if err := t.inner.Save(cp); err != nil {
-		return err
-	}
-	t.mark(cp.Rank, cp.Iteration)
-	return nil
+	return checkpoint.StageAndCommit(t, cp)
 }
 
 func (t *durabilityTracker) Load(rank int) (*checkpoint.Checkpoint, bool, error) {
@@ -123,7 +119,7 @@ func (t *durabilityTracker) Ranks() ([]int, error) { return t.inner.Ranks() }
 
 // Unwrap exposes the tracked storage so the committer's capability probe can
 // see through to a delta-capable tier.
-func (t *durabilityTracker) Unwrap() checkpoint.WaveStorage { return t.inner }
+func (t *durabilityTracker) Unwrap() checkpoint.Storage { return t.inner }
 
 func (t *durabilityTracker) takeViolations() []string {
 	t.mu.Lock()
@@ -131,7 +127,7 @@ func (t *durabilityTracker) takeViolations() []string {
 	return append([]string(nil), t.violations...)
 }
 
-var _ checkpoint.WaveStorage = (*durabilityTracker)(nil)
+var _ checkpoint.Storage = (*durabilityTracker)(nil)
 
 // Check compiles and executes the scenario next to its failure-free twin and
 // verifies the chaos invariants: (1) the chaotic run converges to the twin's
@@ -195,13 +191,8 @@ func Check(sc Scenario) *Result {
 		Faultpoints: comp.reg,
 		NetChaos:    comp.net,
 		WrapStorage: func(st checkpoint.Storage) checkpoint.Storage {
-			ws, ok := st.(checkpoint.WaveStorage)
-			if !ok {
-				// Scenario storages are wave-capable; guard for custom ones.
-				return st
-			}
 			if len(comp.rules) > 0 {
-				fs, err := checkpoint.NewFaultStorage(ws, comp.rules...)
+				fs, err := checkpoint.NewFaultStorage(st, comp.rules...)
 				if err != nil {
 					// Rules were validated at compile time, so this is a
 					// should-not-happen; surface it as a violation, not a
@@ -210,9 +201,9 @@ func Check(sc Scenario) *Result {
 					return st
 				}
 				faultStore = fs
-				ws = faultStore
+				st = fs
 			}
-			tracker = newDurabilityTracker(ws)
+			tracker = newDurabilityTracker(st)
 			return tracker
 		},
 	}

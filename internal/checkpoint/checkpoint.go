@@ -17,22 +17,19 @@
 //   - Materialized form: produced by Decode. Every payload is an independent
 //     heap copy whose lifetime is decoupled from the buffer pool.
 //
-// Both forms encode to the same binary image (codec.go). Two storage
-// back-ends are provided: an in-memory store that keeps the immutable
-// encoded image per rank (used by the benchmarks, which follow the paper in
-// excluding checkpoint I/O from the measurements) and a directory-backed
-// store with per-rank file locks so a committer pool can write a wave's
-// members in parallel. Both support two-phase saves (StageImage): an
-// expensive stage step that makes the image durable without publishing it,
-// and a cheap commit step that atomically makes it the rank's latest
-// checkpoint — the hook the engine uses to publish whole waves atomically
-// and to discard waves a failure interrupted.
+// Both forms encode to the same binary image (codec.go). Every store
+// implements Storage, a two-phase save (StageImage): an expensive stage step
+// that makes the image durable without publishing it, and a cheap commit step
+// that atomically makes it the rank's latest checkpoint — the hook the engine
+// uses to publish whole waves atomically and to discard waves a failure
+// interrupted. MemoryStorage keeps one encoded image per rank in memory (used
+// by the benchmarks, which follow the paper in excluding checkpoint I/O from
+// the measurements); TieredStorage adds delta frames, a hot ring and a cold
+// tier, in memory or on disk (DirColdStore).
 package checkpoint
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 
@@ -131,26 +128,49 @@ func (c *Checkpoint) Size() uint64 {
 }
 
 // Storage is the stable-storage abstraction: it keeps the latest checkpoint
-// of every rank.
+// of every rank. Saves are two-phase: StageImage makes the encoded checkpoint
+// image durable without publishing it; the returned commit publishes it as
+// the rank's latest checkpoint (cheap — a pointer swap — so a whole wave can
+// be published atomically under one lock), and abort discards the staged
+// image. Exactly one of commit and abort must be called.
 type Storage interface {
 	// Save stores a checkpoint, replacing any previous checkpoint of the
-	// same rank.
+	// same rank: a stage and commit in one call (see StageAndCommit).
 	Save(cp *Checkpoint) error
 	// Load returns the latest checkpoint of a rank, or ok=false if none.
 	Load(rank int) (cp *Checkpoint, ok bool, err error)
 	// Ranks lists the ranks that currently have a checkpoint.
 	Ranks() ([]int, error)
+	// StageImage stages an encoded image of the rank and returns its commit
+	// and abort steps.
+	StageImage(rank int, image *buf.Buffer) (commit func() error, abort func(), err error)
 }
 
-// WaveStorage is the two-phase save interface used by the engine's
-// background committer: StageImage makes the encoded checkpoint image
-// durable without publishing it; the returned commit publishes it as the
-// rank's latest checkpoint (cheap — a rename or a pointer swap — so a whole
-// wave can be published atomically under one lock), and abort discards the
-// staged image. Exactly one of commit and abort must be called.
-type WaveStorage interface {
-	Storage
-	StageImage(rank int, image *buf.Buffer) (commit func() error, abort func(), err error)
+// WaveStorage is an alias of Storage, kept for callers written against the
+// former separate two-phase interface.
+type WaveStorage = Storage
+
+// StageAndCommit is the one-phase save every Storage implements Save with:
+// validate, encode, stage through st, then commit (aborting the stage if the
+// commit fails).
+func StageAndCommit(st Storage, cp *Checkpoint) error {
+	if err := cp.Validate(); err != nil {
+		return err
+	}
+	image, err := EncodeBuffer(cp)
+	if err != nil {
+		return err
+	}
+	commit, abort, err := st.StageImage(cp.Rank, image)
+	image.Release()
+	if err != nil {
+		return err
+	}
+	if err := commit(); err != nil {
+		abort()
+		return err
+	}
+	return nil
 }
 
 // MemoryStorage keeps the latest encoded checkpoint image of every rank in
@@ -181,19 +201,9 @@ func (m *MemoryStorage) publish(rank int, image *buf.Buffer) {
 }
 
 // Save encodes the checkpoint once and stores the immutable image.
-func (m *MemoryStorage) Save(cp *Checkpoint) error {
-	if err := cp.Validate(); err != nil {
-		return err
-	}
-	image, err := EncodeBuffer(cp)
-	if err != nil {
-		return err
-	}
-	m.publish(cp.Rank, image)
-	return nil
-}
+func (m *MemoryStorage) Save(cp *Checkpoint) error { return StageAndCommit(m, cp) }
 
-// StageImage implements WaveStorage: the image is retained immediately (it is
+// StageImage implements Storage: the image is retained immediately (it is
 // already durable — this is the in-memory model of stable storage), commit
 // publishes it with a pointer swap, abort drops the reference.
 func (m *MemoryStorage) StageImage(rank int, image *buf.Buffer) (func() error, func(), error) {
@@ -249,151 +259,4 @@ func (m *MemoryStorage) Saves() int {
 	return m.saves
 }
 
-// DirStorage stores checkpoints as binary files in a directory, one file per
-// rank (overwritten on every save, like a two-phase local checkpoint). Locks
-// are per rank, so a committer pool can write a wave's members in parallel.
-type DirStorage struct {
-	dir string
-	mu  sync.Mutex // guards locks and tmpSeq only
-	lks map[int]*sync.Mutex
-	seq int // distinguishes concurrent temp files of one rank
-}
-
-// NewDirStorage creates (if needed) and uses the given directory.
-func NewDirStorage(dir string) (*DirStorage, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("checkpoint: create storage dir: %w", err)
-	}
-	return &DirStorage{dir: dir, lks: make(map[int]*sync.Mutex)}, nil
-}
-
-func (d *DirStorage) path(rank int) string {
-	return filepath.Join(d.dir, fmt.Sprintf("rank-%06d.ckpt", rank))
-}
-
-// lock returns the per-rank file lock, creating it on first use.
-func (d *DirStorage) lock(rank int) *sync.Mutex {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	lk := d.lks[rank]
-	if lk == nil {
-		lk = &sync.Mutex{}
-		d.lks[rank] = lk
-	}
-	return lk
-}
-
-// tmpPath returns a unique temp-file path for the rank.
-func (d *DirStorage) tmpPath(rank int) string {
-	d.mu.Lock()
-	d.seq++
-	n := d.seq
-	d.mu.Unlock()
-	return fmt.Sprintf("%s.%d.tmp", d.path(rank), n)
-}
-
-// writeImage writes raw to a temp file and returns its path.
-func (d *DirStorage) writeImage(rank int, raw []byte) (string, error) {
-	tmp := d.tmpPath(rank)
-	if err := os.WriteFile(tmp, raw, 0o644); err != nil {
-		// WriteFile may fail after creating the file (short write on a full
-		// disk); an aborted stage must not leave the partial temp file behind.
-		os.Remove(tmp)
-		return "", fmt.Errorf("checkpoint: write %s: %w", tmp, err)
-	}
-	return tmp, nil
-}
-
-// Save writes the checkpoint atomically (write to temp file then rename).
-func (d *DirStorage) Save(cp *Checkpoint) error {
-	if err := cp.Validate(); err != nil {
-		return err
-	}
-	image, err := EncodeBuffer(cp)
-	if err != nil {
-		return err
-	}
-	commit, abort, err := d.StageImage(cp.Rank, image)
-	image.Release()
-	if err != nil {
-		return err
-	}
-	if err := commit(); err != nil {
-		abort()
-		return err
-	}
-	return nil
-}
-
-// StageImage implements WaveStorage: stage writes the temp file (the slow,
-// parallel part), commit renames it into place under the rank lock, abort
-// removes it.
-func (d *DirStorage) StageImage(rank int, image *buf.Buffer) (func() error, func(), error) {
-	tmp, err := d.writeImage(rank, image.Bytes())
-	if err != nil {
-		return nil, nil, err
-	}
-	committed := false
-	commit := func() error {
-		lk := d.lock(rank)
-		lk.Lock()
-		defer lk.Unlock()
-		if err := os.Rename(tmp, d.path(rank)); err != nil {
-			return fmt.Errorf("checkpoint: rename: %w", err)
-		}
-		committed = true
-		return nil
-	}
-	abort := func() {
-		if !committed {
-			os.Remove(tmp)
-		}
-	}
-	return commit, abort, nil
-}
-
-// Load reads the latest checkpoint of the rank from disk.
-func (d *DirStorage) Load(rank int) (*Checkpoint, bool, error) {
-	lk := d.lock(rank)
-	lk.Lock()
-	raw, err := os.ReadFile(d.path(rank))
-	lk.Unlock()
-	if os.IsNotExist(err) {
-		return nil, false, nil
-	}
-	if err != nil {
-		return nil, false, fmt.Errorf("checkpoint: read: %w", err)
-	}
-	cp, err := Decode(raw)
-	if err != nil {
-		return nil, false, err
-	}
-	return cp, true, nil
-}
-
-// Ranks lists ranks with a checkpoint file.
-func (d *DirStorage) Ranks() ([]int, error) {
-	entries, err := os.ReadDir(d.dir)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: list: %w", err)
-	}
-	var out []int
-	for _, e := range entries {
-		var rank int
-		if _, err := fmt.Sscanf(e.Name(), "rank-%d.ckpt", &rank); err == nil && !isTmp(e.Name()) {
-			out = append(out, rank)
-		}
-	}
-	sort.Ints(out)
-	return out, nil
-}
-
-// isTmp reports whether the file name is a staged (uncommitted) image.
-func isTmp(name string) bool { return filepath.Ext(name) == ".tmp" }
-
-var (
-	_ Storage     = (*MemoryStorage)(nil)
-	_ Storage     = (*DirStorage)(nil)
-	_ WaveStorage = (*MemoryStorage)(nil)
-	_ WaveStorage = (*DirStorage)(nil)
-)
+var _ Storage = (*MemoryStorage)(nil)

@@ -89,74 +89,6 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestMemoryStorage(t *testing.T) {
-	st := NewMemoryStorage()
-	if _, ok, err := st.Load(0); ok || err != nil {
-		t.Fatal("empty storage should miss")
-	}
-	if err := st.Save(sampleCheckpoint(0)); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Save(sampleCheckpoint(2)); err != nil {
-		t.Fatal(err)
-	}
-	cp, ok, err := st.Load(0)
-	if err != nil || !ok {
-		t.Fatalf("load: %v %v", ok, err)
-	}
-	// Mutating the loaded copy must not affect the stored one.
-	cp.AppState[0] = 99
-	again, _, _ := st.Load(0)
-	if again.AppState[0] == 99 {
-		t.Fatal("storage returned shared memory")
-	}
-	ranks, err := st.Ranks()
-	if err != nil || len(ranks) != 2 || ranks[0] != 0 || ranks[1] != 2 {
-		t.Fatalf("Ranks = %v, %v", ranks, err)
-	}
-	if st.Saves() != 2 {
-		t.Fatalf("Saves = %d", st.Saves())
-	}
-	// Replacing a rank's checkpoint keeps only the latest.
-	newer := sampleCheckpoint(0)
-	newer.Iteration = 20
-	if err := st.Save(newer); err != nil {
-		t.Fatal(err)
-	}
-	got, _, _ := st.Load(0)
-	if got.Iteration != 20 {
-		t.Fatalf("latest checkpoint not returned: %d", got.Iteration)
-	}
-	if err := st.Save(&Checkpoint{Rank: -1}); err == nil {
-		t.Fatal("invalid checkpoint accepted by Save")
-	}
-}
-
-func TestDirStorage(t *testing.T) {
-	dir := t.TempDir()
-	st, err := NewDirStorage(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, err := st.Load(5); ok || err != nil {
-		t.Fatal("missing checkpoint should miss without error")
-	}
-	if err := st.Save(sampleCheckpoint(5)); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Save(sampleCheckpoint(1)); err != nil {
-		t.Fatal(err)
-	}
-	cp, ok, err := st.Load(5)
-	if err != nil || !ok || cp.Rank != 5 {
-		t.Fatalf("load from disk failed: %v %v %v", cp, ok, err)
-	}
-	ranks, err := st.Ranks()
-	if err != nil || len(ranks) != 2 || ranks[0] != 1 {
-		t.Fatalf("Ranks = %v, %v", ranks, err)
-	}
-}
-
 func TestPropertyEncodeDecodeAppState(t *testing.T) {
 	f := func(state []byte, iter uint8) bool {
 		cp := sampleCheckpoint(1)

@@ -87,35 +87,6 @@ func Frame(raw []byte) (FrameKind, error) {
 	return 0, fmt.Errorf("checkpoint: frame: bad magic or version")
 }
 
-// DeltaPolicy controls when the committer emits delta frames instead of full
-// images.
-type DeltaPolicy struct {
-	// MaxChain bounds the recovery chain: after MaxChain-1 consecutive delta
-	// frames the next wave is forced to a self-describing full frame.
-	MaxChain int
-	// MinGain is the admission threshold: a delta frame is kept only if its
-	// size is at most MinGain × the full image's size; otherwise the wave
-	// falls back to a full frame.
-	MinGain float64
-}
-
-// DefaultDeltaPolicy is the committer default: chains of at most 8 waves and
-// a required 10% gain over the full image.
-func DefaultDeltaPolicy() DeltaPolicy { return DeltaPolicy{MaxChain: 8, MinGain: 0.9} }
-
-// Normalized returns the policy with zero fields replaced by defaults.
-func (p DeltaPolicy) Normalized() DeltaPolicy { return p.normalized() }
-
-func (p DeltaPolicy) normalized() DeltaPolicy {
-	if p.MaxChain <= 0 {
-		p.MaxChain = 8
-	}
-	if p.MinGain <= 0 || p.MinGain > 1 {
-		p.MinGain = 0.9
-	}
-	return p
-}
-
 // fnv1a is FNV-1a 64: the frame checksum and the chunk-index hash.
 func fnv1a(p []byte) uint64 {
 	h := uint64(14695981039346656037)
@@ -306,8 +277,8 @@ func metaSpan(raw []byte) ([]byte, error) {
 
 // EncodeDeltaFrame encodes full (a codec-v2 image) as a delta frame against
 // base (the rank's previous durable codec-v2 image, identified by baseWave).
-// The caller is expected to apply its DeltaPolicy to the returned frame's
-// size; no gain threshold is applied here.
+// The caller is expected to apply its own gain threshold to the returned
+// frame's size; none is applied here.
 func EncodeDeltaFrame(full, base []byte, baseWave int) ([]byte, error) {
 	if _, err := DecodeMeta(full); err != nil {
 		return nil, err

@@ -12,8 +12,8 @@ import (
 type FaultOp string
 
 const (
-	// OpStage targets StageImage (and the one-phase Save fallback): the slow
-	// write of an image to stable storage.
+	// OpStage targets StageImage (and so Save): the slow write of an image
+	// to stable storage.
 	OpStage FaultOp = "stage"
 	// OpCommit targets the commit closure returned by StageImage: the atomic
 	// publish of a staged image.
@@ -147,17 +147,17 @@ func (s *ruleSet) injections() []int {
 	return out
 }
 
-// FaultStorage decorates a WaveStorage with rule-driven fault injection on
+// FaultStorage decorates a Storage with rule-driven fault injection on
 // Stage/Commit/Load: fail, stall, or corrupt. It is the storage half of the
 // chaos subsystem — the counterpart of the engine's fault-point registry —
 // and is safe for concurrent use like the storages it wraps.
 type FaultStorage struct {
-	inner WaveStorage
+	inner Storage
 	rs    *ruleSet
 }
 
-// NewFaultStorage wraps a WaveStorage with the given fault rules.
-func NewFaultStorage(inner WaveStorage, rules ...FaultRule) (*FaultStorage, error) {
+// NewFaultStorage wraps a Storage with the given fault rules.
+func NewFaultStorage(inner Storage, rules ...FaultRule) (*FaultStorage, error) {
 	rs, err := newRuleSet(rules)
 	if err != nil {
 		return nil, err
@@ -167,7 +167,7 @@ func NewFaultStorage(inner WaveStorage, rules ...FaultRule) (*FaultStorage, erro
 
 // Unwrap exposes the decorated storage, so capability probes (e.g. the
 // committer looking for a delta-aware tier) can see through the decorator.
-func (f *FaultStorage) Unwrap() WaveStorage { return f.inner }
+func (f *FaultStorage) Unwrap() Storage { return f.inner }
 
 // Injections returns how many faults each rule injected, in rule order.
 func (f *FaultStorage) Injections() []int { return f.rs.injections() }
@@ -201,7 +201,7 @@ func corruptImage(image *buf.Buffer) {
 	}
 }
 
-// StageImage implements WaveStorage with stage-targeted injection.
+// StageImage implements Storage with stage-targeted injection.
 func (f *FaultStorage) StageImage(rank int, image *buf.Buffer) (func() error, func(), error) {
 	if r := f.match(OpStage, rank); r != nil {
 		switch r.Mode {
@@ -231,18 +231,9 @@ func (f *FaultStorage) StageImage(rank int, image *buf.Buffer) (func() error, fu
 	return wrapped, abort, nil
 }
 
-// Save implements the one-phase Storage path with the same stage rules.
-func (f *FaultStorage) Save(cp *Checkpoint) error {
-	if r := f.match(OpStage, cp.Rank); r != nil {
-		switch r.Mode {
-		case ModeFail, ModeCorrupt:
-			return fmt.Errorf("checkpoint: injected stage fault (rank %d)", cp.Rank)
-		case ModeStall:
-			r.stall()
-		}
-	}
-	return f.inner.Save(cp)
-}
+// Save implements the one-phase Storage path; stage rules apply through
+// StageImage.
+func (f *FaultStorage) Save(cp *Checkpoint) error { return StageAndCommit(f, cp) }
 
 // Load implements Storage with load-targeted injection.
 func (f *FaultStorage) Load(rank int) (*Checkpoint, bool, error) {
@@ -262,4 +253,4 @@ func (f *FaultStorage) Load(rank int) (*Checkpoint, bool, error) {
 // Ranks delegates to the wrapped storage.
 func (f *FaultStorage) Ranks() ([]int, error) { return f.inner.Ranks() }
 
-var _ WaveStorage = (*FaultStorage)(nil)
+var _ Storage = (*FaultStorage)(nil)

@@ -32,7 +32,7 @@ func TestDecodeMeta(t *testing.T) {
 	}
 }
 
-func mustFaultStorage(t *testing.T, inner WaveStorage, rules ...FaultRule) *FaultStorage {
+func mustFaultStorage(t *testing.T, inner Storage, rules ...FaultRule) *FaultStorage {
 	t.Helper()
 	fs, err := NewFaultStorage(inner, rules...)
 	if err != nil {

@@ -1,6 +1,6 @@
 package checkpoint
 
-// TieredStorage: the delta-aware WaveStorage behind the committer's codec-v3
+// TieredStorage: the delta-aware Storage behind the committer's codec-v3
 // pipeline. Staged representations (full v2 images, compressed fulls, or
 // delta frames against the previous durable wave) land in a hot in-memory
 // ring of the last K durable waves per rank and are demoted asynchronously to
@@ -11,7 +11,7 @@ package checkpoint
 //
 //   - A delta frame's base is always an *older durable wave of the same
 //     rank*; every chain terminates at a self-describing frame (the anchor)
-//     because the committer forces one every DeltaPolicy.MaxChain waves.
+//     because the committer forces one every maxChain waves (core/delta.go).
 //   - Waves older than the rank's newest anchor are superseded — recovery
 //     never walks past an anchor — and are garbage-collected from every tier
 //     once the anchor is durable (the durable-wave invariant).
@@ -67,15 +67,6 @@ type TieredConfig struct {
 	// copies, and recovery falls back to it when the primary copy is missing
 	// or damaged.
 	Replica ColdStore
-	// Delta is the policy advertised to the committer. Zero value means
-	// DefaultDeltaPolicy.
-	Delta DeltaPolicy
-	// DisableDelta hides the delta capability: the committer stages plain
-	// full images (the tier still rings/demotes/replicates them).
-	DisableDelta bool
-	// CompressCold flate-packs raw full images during demotion, so cold
-	// anchors are stored as compressed frames.
-	CompressCold bool
 	// SyncDemotion runs demotion and cold GC inline on the commit path
 	// instead of background goroutines. Deterministic harnesses (the chaos
 	// checker) use it so recovery reads the cold tier instead of racing the
@@ -93,7 +84,6 @@ func (c TieredConfig) normalized() TieredConfig {
 	if c.Cold == nil {
 		c.Cold = NewMemColdStore()
 	}
-	c.Delta = c.Delta.normalized()
 	return c
 }
 
@@ -106,7 +96,7 @@ type hotEntry struct {
 	full []byte
 }
 
-// TieredStorage implements WaveStorage over a hot ring + cold tier(s).
+// TieredStorage implements Storage over a hot ring + cold tier(s).
 type TieredStorage struct {
 	cfg TieredConfig
 
@@ -131,12 +121,6 @@ func NewTieredStorage(cfg TieredConfig) *TieredStorage {
 		latest:  make(map[int]int),
 		floor:   make(map[int]int),
 	}
-}
-
-// DeltaPolicy advertises the delta capability to the committer. ok=false
-// (delta disabled) makes the committer stage plain full images.
-func (t *TieredStorage) DeltaPolicy() (DeltaPolicy, bool) {
-	return t.cfg.Delta, !t.cfg.DisableDelta
 }
 
 // Quiesce blocks until every queued demotion and cold GC has finished. Tests
@@ -170,7 +154,7 @@ func (t *TieredStorage) hotBase(rank, wave int) ([]byte, *buf.Buffer) {
 	return nil, nil
 }
 
-// StageImage implements WaveStorage. The image may be any codec frame; the
+// StageImage implements Storage. The image may be any codec frame; the
 // staged bytes are kept verbatim (the in-memory model of stable storage, as
 // MemoryStorage), and the full image is materialized eagerly here — on the
 // committer's background path — so the commit closure and the recovery fast
@@ -300,24 +284,15 @@ func (t *TieredStorage) commitStaged(rank, wave int, staged *buf.Buffer, full []
 	}
 }
 
-// demote writes one frame to the cold tier (and replica), optionally
-// compressing raw full images in the background, then drops it from the
-// pending set. It owns the passed reference.
+// demote writes one frame to the cold tier (and replica), then drops it from
+// the pending set. It owns the passed reference.
 func (t *TieredStorage) demote(rank, wave int, rep *buf.Buffer) {
 	defer t.wg.Done()
 	frame := rep.Bytes()
-	out := frame
-	if t.cfg.CompressCold {
-		if k, err := Frame(frame); err == nil && k == KindFull {
-			if z, err := EncodeCompressedFrame(frame); err == nil && len(z) < len(frame) {
-				out = z
-			}
-		}
-	}
-	errP := t.cfg.Cold.Put(rank, wave, out)
+	errP := t.cfg.Cold.Put(rank, wave, frame)
 	var errR error
 	if t.cfg.Replica != nil {
-		errR = t.cfg.Replica.Put(rank, wave, out)
+		errR = t.cfg.Replica.Put(rank, wave, frame)
 	} else {
 		errR = errP
 	}
@@ -510,25 +485,7 @@ func (t *TieredStorage) Load(rank int) (*Checkpoint, bool, error) {
 }
 
 // Save implements the one-phase Storage path.
-func (t *TieredStorage) Save(cp *Checkpoint) error {
-	if err := cp.Validate(); err != nil {
-		return err
-	}
-	image, err := EncodeBuffer(cp)
-	if err != nil {
-		return err
-	}
-	commit, abort, err := t.StageImage(cp.Rank, image)
-	image.Release()
-	if err != nil {
-		return err
-	}
-	if err := commit(); err != nil {
-		abort()
-		return err
-	}
-	return nil
-}
+func (t *TieredStorage) Save(cp *Checkpoint) error { return StageAndCommit(t, cp) }
 
 // Ranks lists ranks with a durable wave in any tier, sorted.
 func (t *TieredStorage) Ranks() ([]int, error) {
@@ -556,7 +513,7 @@ func (t *TieredStorage) Ranks() ([]int, error) {
 	return out, nil
 }
 
-var _ WaveStorage = (*TieredStorage)(nil)
+var _ Storage = (*TieredStorage)(nil)
 
 // MemColdStore is an in-memory ColdStore: the cold tier of choice for tests
 // and benchmarks (the paper's measurements exclude checkpoint I/O).
@@ -623,7 +580,8 @@ func (m *MemColdStore) Ranks() ([]int, error) {
 }
 
 // DirColdStore is a directory-backed ColdStore: one subdirectory per rank,
-// one frame file per wave, written temp-then-rename like DirStorage.
+// one frame file per wave, written to a temp file and renamed into place, so
+// a reader never sees a partial frame.
 type DirColdStore struct {
 	dir string
 	mu  sync.Mutex
@@ -704,6 +662,9 @@ func (d *DirColdStore) Waves(rank int) ([]int, error) {
 	return out, nil
 }
 
+// isTmp reports whether the file name is a staged (uncommitted) frame.
+func isTmp(name string) bool { return filepath.Ext(name) == ".tmp" }
+
 func (d *DirColdStore) Ranks() ([]int, error) {
 	entries, err := os.ReadDir(d.dir)
 	if err != nil {
@@ -712,7 +673,12 @@ func (d *DirColdStore) Ranks() ([]int, error) {
 	var out []int
 	for _, e := range entries {
 		var rank int
-		if _, err := fmt.Sscanf(e.Name(), "rank-%d", &rank); err == nil && e.IsDir() {
+		if _, err := fmt.Sscanf(e.Name(), "rank-%d", &rank); err != nil || !e.IsDir() {
+			continue
+		}
+		// Like MemColdStore, list only ranks with a committed frame: a rank
+		// directory can hold nothing but a crashed Put's temp file.
+		if waves, err := d.Waves(rank); err == nil && len(waves) > 0 {
 			out = append(out, rank)
 		}
 	}

@@ -212,39 +212,6 @@ func TestTieredAnchorGCWithDeltaChain(t *testing.T) {
 	loadEqual(t, ts, 0, fulls[4])
 }
 
-func TestTieredCompressCold(t *testing.T) {
-	cold := NewMemColdStore()
-	ts := NewTieredStorage(TieredConfig{HotWaves: -1, Cold: cold, CompressCold: true})
-	img := tierImage(t, 0, 2)
-	stageFrame(t, ts, 0, img)
-	ts.Quiesce()
-	frame, err := cold.Get(0, 2)
-	if err != nil {
-		t.Fatalf("cold get: %v", err)
-	}
-	if k, err := Frame(frame); err != nil || k != KindCompressed {
-		t.Fatalf("cold frame kind %v err %v, want compressed", k, err)
-	}
-	loadEqual(t, ts, 0, img)
-}
-
-func TestTieredSave(t *testing.T) {
-	ts := NewTieredStorage(TieredConfig{})
-	cp := driftCheckpoint(64, 3)
-	cp.Rank = 1
-	cp.Wave = 3
-	if err := ts.Save(cp); err != nil {
-		t.Fatalf("save: %v", err)
-	}
-	got, ok, err := ts.Load(1)
-	if err != nil || !ok {
-		t.Fatalf("load: ok=%v err=%v", ok, err)
-	}
-	if !reflect.DeepEqual(got, cp) {
-		t.Fatalf("saved and loaded checkpoints differ")
-	}
-}
-
 func TestTieredLostCopiesReported(t *testing.T) {
 	failing, err := NewFaultColdStore(NewMemColdStore(),
 		FaultRule{Op: OpStage, Mode: ModeFail, Rank: -1})

@@ -98,8 +98,7 @@ type commitShard struct {
 type committer struct {
 	e       *Engine
 	storage checkpoint.Storage
-	ws      checkpoint.WaveStorage // nil when storage lacks the two-phase fast path
-	delta   *deltaState            // nil unless the storage stack advertises a DeltaPolicy
+	delta   *deltaState // nil unless the storage stack has a delta-capable tier
 
 	shards [commitShards]*commitShard
 	wg     sync.WaitGroup
@@ -115,11 +114,8 @@ type committer struct {
 
 func newCommitter(e *Engine, storage checkpoint.Storage) *committer {
 	c := &committer{e: e, storage: storage}
-	c.ws, _ = storage.(checkpoint.WaveStorage)
-	if c.ws != nil {
-		if policy, ok := probeDeltaPolicy(c.ws); ok {
-			c.delta = newDeltaState(policy.Normalized())
-		}
+	if hasDeltaTier(storage) {
+		c.delta = newDeltaState()
 	}
 	for i := range c.shards {
 		s := &commitShard{
@@ -190,8 +186,16 @@ func (c *committer) dispatcher(s *commitShard) {
 		}
 		cl := s.ready[0]
 		s.ready = s.ready[1:]
-		w := s.queues[cl][0]
-		s.queues[cl] = s.queues[cl][1:]
+		q := s.queues[cl]
+		w := q[0]
+		// Clear the popped slot and drop an emptied queue: the backing array
+		// must not keep committed waves (and their checkpoints) reachable.
+		q[0] = nil
+		if len(q) == 1 {
+			delete(s.queues, cl)
+		} else {
+			s.queues[cl] = q[1:]
+		}
 		s.inflight[cl] = w
 		s.mu.Unlock()
 
@@ -239,7 +243,7 @@ func (c *committer) commitWave(s *commitShard, w *wave) {
 	})
 
 	// Stage the members in parallel: encode each rank's binary image and make
-	// it durable without publishing (temp file / retained image). A wave that
+	// it durable without publishing (a retained image). A wave that
 	// recovery has already canceled still flows through here — cancellation is
 	// decided once, at the publish lock below, so a stage racing a rollback
 	// (including a stage that *fails* on a wave recovery is discarding) always
@@ -250,13 +254,6 @@ func (c *committer) commitWave(s *commitShard, w *wave) {
 	plans := make([]*deltaPlan, len(w.members))
 	stage := func(i int) {
 		cp := w.members[i]
-		if c.ws == nil {
-			// Plain Storage fallback: publish is a full Save. The capture's
-			// buffer references stay valid until the wave is released, so
-			// Save sees consistent payloads.
-			commits[i] = func() error { return c.storage.Save(cp) }
-			return
-		}
 		image, err := checkpoint.EncodeBuffer(cp)
 		if err != nil {
 			errs[i] = err
@@ -270,7 +267,7 @@ func (c *committer) commitWave(s *commitShard, w *wave) {
 		if c.delta != nil {
 			staged, plans[i] = c.delta.encode(cp.Rank, cp.Wave, image)
 		}
-		commit, abort, err := c.ws.StageImage(cp.Rank, staged)
+		commit, abort, err := c.storage.StageImage(cp.Rank, staged)
 		if c.delta != nil {
 			staged.Release() // encode returned an owned reference
 		}
@@ -312,7 +309,7 @@ func (c *committer) commitWave(s *commitShard, w *wave) {
 	}
 
 	// Publish atomically: every member commits under the shard lock (commit
-	// is cheap — a rename or pointer swap), so recovery either sees the whole
+	// is cheap — a pointer swap), so recovery either sees the whole
 	// wave or none of it, and a cancellation that lost the race to this
 	// critical section finds the wave already durable.
 	dropPlans := func(from int) {
@@ -351,7 +348,7 @@ func (c *committer) commitWave(s *commitShard, w *wave) {
 	for i, commit := range commits {
 		if err := commit(); err != nil {
 			// Members before i are already published and cannot be undone —
-			// a rename failing mid-publish leaves a partial wave on stable
+			// a commit failing mid-publish leaves a partial wave on stable
 			// storage. The error fails the run (checkpointRank surfaces it at
 			// the next wave), so no in-run recovery consumes the mixed state;
 			// the failed member and the rest are aborted so no staged images

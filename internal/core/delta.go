@@ -7,42 +7,46 @@ import (
 	"repro/internal/checkpoint"
 )
 
-// The committer's delta pipeline. When the storage stack advertises a
-// DeltaPolicy (TieredStorage does; MemoryStorage/DirStorage do not, so their
-// byte streams are unchanged), each rank's wave is re-encoded as a codec-v3
-// frame against the rank's previous *published* full image before staging:
-// a delta frame when the chain is short and the gain clears the policy
-// threshold, a compressed or raw full frame otherwise. The base map advances
-// only when a wave actually publishes — canceled waves never move it — which
-// is exactly the durable-wave invariant recovery depends on: every delta's
-// base is a durable wave of the same rank.
+// The committer's delta pipeline. When the storage stack contains a
+// delta-capable tier (TieredStorage; MemoryStorage is not, so its byte stream
+// is unchanged), each rank's wave is re-encoded as a codec-v3 frame against
+// the rank's previous *published* full image before staging: a delta frame
+// when the chain is short and the gain clears minGain, a compressed or raw
+// full frame otherwise. The base map advances only when a wave actually
+// publishes — canceled waves never move it — which is exactly the
+// durable-wave invariant recovery depends on: every delta's base is a
+// durable wave of the same rank.
 
-// deltaSink is the capability probe: a WaveStorage that understands codec-v3
-// frames and wants delta-encoded stages.
-type deltaSink interface {
-	DeltaPolicy() (checkpoint.DeltaPolicy, bool)
-}
+const (
+	// maxChain bounds the recovery chain: after maxChain-1 consecutive delta
+	// frames the next wave is forced to a self-describing full frame.
+	maxChain = 8
+	// minGain is the admission threshold: a delta frame is kept only if its
+	// size is at most minGain × the full image's size; otherwise the wave
+	// falls back to a full frame.
+	minGain = 0.9
+)
 
 // storageUnwrapper lets the probe see through decorators (FaultStorage, the
 // chaos durability tracker).
 type storageUnwrapper interface {
-	Unwrap() checkpoint.WaveStorage
+	Unwrap() checkpoint.Storage
 }
 
-// probeDeltaPolicy walks the storage decorator chain looking for a
-// delta-capable tier.
-func probeDeltaPolicy(ws checkpoint.WaveStorage) (checkpoint.DeltaPolicy, bool) {
-	for ws != nil {
-		if ds, ok := ws.(deltaSink); ok {
-			return ds.DeltaPolicy()
+// hasDeltaTier walks the storage decorator chain looking for the
+// delta-capable tier, the one Storage that understands codec-v3 frames.
+func hasDeltaTier(st checkpoint.Storage) bool {
+	for st != nil {
+		if _, ok := st.(*checkpoint.TieredStorage); ok {
+			return true
 		}
-		u, ok := ws.(storageUnwrapper)
+		u, ok := st.(storageUnwrapper)
 		if !ok {
 			break
 		}
-		ws = u.Unwrap()
+		st = u.Unwrap()
 	}
-	return checkpoint.DeltaPolicy{}, false
+	return false
 }
 
 // prevImage is a rank's delta base: its last published full image.
@@ -77,13 +81,12 @@ func (p *deltaPlan) drop() {
 // different shard goroutine — between waves (the switch flushes the
 // committer, so per-rank stage order still holds).
 type deltaState struct {
-	policy checkpoint.DeltaPolicy
-	mu     sync.Mutex
-	prev   map[int]*prevImage
+	mu   sync.Mutex
+	prev map[int]*prevImage
 }
 
-func newDeltaState(policy checkpoint.DeltaPolicy) *deltaState {
-	return &deltaState{policy: policy, prev: make(map[int]*prevImage)}
+func newDeltaState() *deltaState {
+	return &deltaState{prev: make(map[int]*prevImage)}
 }
 
 // encode picks the staged representation for one member's full image. It
@@ -104,9 +107,9 @@ func (d *deltaState) encode(rank, wave int, full *buf.Buffer) (*buf.Buffer, *del
 	}
 	d.mu.Unlock()
 
-	if base != nil && chain+1 < d.policy.MaxChain {
+	if base != nil && chain+1 < maxChain {
 		frame, err := checkpoint.EncodeDeltaFrame(fb, base.Bytes(), baseWave)
-		if err == nil && float64(len(frame)) <= d.policy.MinGain*float64(len(fb)) {
+		if err == nil && float64(len(frame)) <= minGain*float64(len(fb)) {
 			base.Release()
 			plan.chain = chain + 1
 			plan.isDelta = true

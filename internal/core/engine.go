@@ -51,10 +51,9 @@ type Config struct {
 	Interval int
 	// Steps is the number of application iterations to run.
 	Steps int
-	// Storage receives the checkpoints. Storages implementing
-	// checkpoint.WaveStorage get the two-phase fast path: encoded images are
-	// staged in parallel and whole waves publish atomically; plain Storages
-	// fall back to Save at publish time.
+	// Storage receives the checkpoints: encoded images are staged in
+	// parallel (StageImage) and whole waves publish atomically through the
+	// returned commits.
 	Storage checkpoint.Storage
 	// Faults is the failure plan. Iterations must lie in [0, Steps), and a
 	// rank may fail at most once per iteration boundary.
@@ -172,7 +171,7 @@ type Metrics struct {
 	Epochs        int `json:"epochs"`
 	EpochSwitches int `json:"epoch_switches"`
 	// Delta-pipeline volume accounting, populated only when the storage
-	// stack advertises a DeltaPolicy (omitted otherwise, so reports of
+	// stack has a delta-capable tier (omitted otherwise, so reports of
 	// non-delta runs are unchanged). BytesStaged is what was actually staged
 	// (codec-v3 frames); BytesFullEquiv is what the same waves would have
 	// cost as plain full images; BytesDeduped is the difference.

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/app"
+	"repro/internal/buf"
 	"repro/internal/checkpoint"
 	"repro/internal/model"
 	"repro/internal/mpi"
@@ -26,6 +27,10 @@ func newCountingStorage() *countingStorage {
 }
 
 func (c *countingStorage) Save(cp *checkpoint.Checkpoint) error { return c.inner.Save(cp) }
+
+func (c *countingStorage) StageImage(rank int, image *buf.Buffer) (func() error, func(), error) {
+	return c.inner.StageImage(rank, image)
+}
 
 func (c *countingStorage) Load(rank int) (*checkpoint.Checkpoint, bool, error) {
 	c.mu.Lock()

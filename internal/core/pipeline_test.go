@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -15,7 +16,7 @@ import (
 	"repro/internal/trace"
 )
 
-// loadRecorder wraps a WaveStorage and records the iteration of every
+// loadRecorder wraps a Storage and records the iteration of every
 // checkpoint recovery actually loaded, so tests can pin which wave a rollback
 // restored.
 type loadRecorder struct {
@@ -52,7 +53,7 @@ func (l *loadRecorder) loaded(rank int) []int {
 	return append([]int(nil), l.iters[rank]...)
 }
 
-var _ checkpoint.WaveStorage = (*loadRecorder)(nil)
+var _ checkpoint.Storage = (*loadRecorder)(nil)
 
 // TestEngineFaultMidDrainRecoversFromDurableWave is the deferred-GC proof:
 // a fault strikes while two checkpoint waves of the failed cluster are still
@@ -278,7 +279,12 @@ func TestAllocGuardCheckpointCapture(t *testing.T) {
 type failingStorage struct{ inner *checkpoint.MemoryStorage }
 
 func (f *failingStorage) Save(cp *checkpoint.Checkpoint) error {
-	return fmt.Errorf("stable storage unavailable")
+	return checkpoint.StageAndCommit(f, cp)
+}
+
+func (f *failingStorage) StageImage(rank int, image *bufpkg.Buffer) (func() error, func(), error) {
+	commit := func() error { return fmt.Errorf("stable storage unavailable") }
+	return commit, func() {}, nil
 }
 func (f *failingStorage) Load(rank int) (*checkpoint.Checkpoint, bool, error) {
 	return f.inner.Load(rank)
@@ -319,4 +325,32 @@ func TestEngineCommitErrorDoesNotDeadlockRecovery(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("run deadlocked: recovery leader never woke from the committer condvar")
 	}
+}
+
+// TestCommitterReleasesCommittedWaves is the retention regression for the
+// commit queues: once a cluster's queue drains, nothing in the committer may
+// keep a committed wave — and so its members' state — reachable.
+func TestCommitterReleasesCommittedWaves(t *testing.T) {
+	c := newCommitter(&Engine{}, checkpoint.NewMemoryStorage())
+	defer c.drain()
+	collected := make(chan struct{})
+	submit := func(seq int) *checkpoint.Checkpoint {
+		cp := &checkpoint.Checkpoint{Wave: seq, AppState: make([]byte, 64), Channels: &mpi.ChannelSnapshot{}}
+		c.submit(0, seq, 1, cp)
+		return cp
+	}
+	runtime.SetFinalizer(submit(0), func(*checkpoint.Checkpoint) { close(collected) })
+	submit(1) // a later wave of the same cluster queues behind it
+	if err := c.flush(); err != nil {
+		t.Fatalf("flush: %v", err)
+	}
+	for i := 0; i < 50; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("a committed wave's checkpoint is still reachable after its queue drained")
 }
